@@ -14,6 +14,7 @@ need.  Edge weights are stored once per undirected edge with ``u < v``.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -102,6 +103,18 @@ class ElectricGraph:
                    np.asarray(eu, dtype=np.int64),
                    np.asarray(ev, dtype=np.int64),
                    np.asarray(ew, dtype=np.float64))
+
+    def with_sources(self, b) -> "ElectricGraph":
+        """This graph carrying right-hand side *b*.
+
+        The topology (weights, edges, cached adjacency) is shared and
+        not re-checked — it was validated when this graph was built, and
+        the O(E) edge checks would otherwise run on every re-sourced
+        solve.  Only *b* is validated (length, finite entries).
+        """
+        graph = copy.copy(self)
+        graph.sources = as_float_vector(b, "sources", self.n)
+        return graph
 
     # ------------------------------------------------------------------
     # basic queries

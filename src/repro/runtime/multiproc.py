@@ -38,6 +38,10 @@ reported ``converged`` after re-verification on a *consistent* final
 state (workers quiesce, publish, then the coordinator re-measures).
 This holds for every transport — see PERFORMANCE.md ("Transports").
 
+Every ``shards>1`` process — each worker, and the coordinator while a
+runner is open — runs single-threaded BLAS (:mod:`repro.runtime.blas`):
+the shards are the parallelism.
+
 Memory-ordering note: on shm, workers and coordinator exchange float64
 waves and int64 control words through aligned shared-memory cells with
 single-writer discipline; on the cache-coherent platforms CPython
@@ -87,6 +91,7 @@ from ..sim.trace import (
     gather_shard_states,
     merge_shard_series,
 )
+from . import blas
 
 __all__ = [
     "EdgeMailbox",
@@ -178,29 +183,32 @@ def _worker_main(descriptor, faults=None) -> None:
     :class:`~repro.net.faults.ShardFaults` script armed on the port —
     the chaos-testing hook.  Any exception marks the error cell (or
     sends an error frame) before exiting, so the coordinator fails
-    fast instead of hanging on acks.
+    fast instead of hanging on acks.  BLAS runs single-threaded for
+    the worker's lifetime: one process per shard is the parallelism.
     """
-    spec, port, idle_sleep, probe_every = open_worker_port(descriptor)
-    if port.obs_enabled or obs_env_enabled():
-        # each worker keeps a private registry; socket ports piggyback
-        # its snapshots on state/heartbeat frames for the coordinator
-        # to merge (the shm port has no byte channel and ignores it)
-        port.install_obs(MetricRegistry())
-    if faults is not None:
-        from ..net.faults import apply_faults
+    with blas.single_thread():
+        spec, port, idle_sleep, probe_every = open_worker_port(descriptor)
+        if port.obs_enabled or obs_env_enabled():
+            # each worker keeps a private registry; socket ports
+            # piggyback its snapshots on state/heartbeat frames for the
+            # coordinator to merge (the shm port has no byte channel
+            # and ignores it)
+            port.install_obs(MetricRegistry())
+        if faults is not None:
+            from ..net.faults import apply_faults
 
-        port = apply_faults(port, faults)
-    try:
-        _run_worker(spec, port, idle_sleep, probe_every)
-    except Exception:  # pragma: no cover - exercised via error tests
+            port = apply_faults(port, faults)
         try:
-            port.mark_error(traceback.format_exc(limit=4))
-        except Exception:
-            pass
-        traceback.print_exc()
-        raise
-    finally:
-        port.close()
+            _run_worker(spec, port, idle_sleep, probe_every)
+        except Exception:  # pragma: no cover - exercised via error tests
+            try:
+                port.mark_error(traceback.format_exc(limit=4))
+            except Exception:
+                pass
+            traceback.print_exc()
+            raise
+        finally:
+            port.close()
 
 
 # ----------------------------------------------------------------------
@@ -373,14 +381,22 @@ class MultiprocDtmRunner:
                 "a FaultPlan arms spawned workers; with "
                 "spawn_workers=False script faults on the external "
                 "workers themselves")
-        self._port = self.transport.bind(
-            self.specs, n_slots=self._n_slots, n_states=self._n_states,
-            idle_sleep=self.idle_sleep, probe_every=self.probe_every,
-            obs_enabled=self.obs.enabled)
-        if self.obs.enabled:
-            self._port.install_obs(self.obs)
-        if spawn_workers:
-            self._spawn_workers()
+        # held until close(): BLAS threads spinning in the coordinator
+        # between its calls take cores from the shard workers
+        blas.acquire_single_thread()
+        try:
+            self._port = self.transport.bind(
+                self.specs, n_slots=self._n_slots,
+                n_states=self._n_states, idle_sleep=self.idle_sleep,
+                probe_every=self.probe_every,
+                obs_enabled=self.obs.enabled)
+            if self.obs.enabled:
+                self._port.install_obs(self.obs)
+            if spawn_workers:
+                self._spawn_workers()
+        except BaseException:
+            blas.release_single_thread()
+            raise
 
     # -- lifecycle ------------------------------------------------------
     def _spawn_one(self, index: int, faults=None):
@@ -407,15 +423,18 @@ class MultiprocDtmRunner:
         self._closed = True
         if self._session is not None:
             return
-        self._port.shutdown()
-        deadline = time.perf_counter() + 5.0
-        for proc in self._procs:
-            proc.join(timeout=max(0.0, deadline - time.perf_counter()))
-        for proc in self._procs:
-            if proc.is_alive():  # pragma: no cover - stuck worker
-                proc.terminate()
-                proc.join(timeout=1.0)
-        self._port.close()
+        try:
+            self._port.shutdown()
+            deadline = time.perf_counter() + 5.0
+            for proc in self._procs:
+                proc.join(timeout=max(0.0, deadline - time.perf_counter()))
+            for proc in self._procs:
+                if proc.is_alive():  # pragma: no cover - stuck worker
+                    proc.terminate()
+                    proc.join(timeout=1.0)
+            self._port.close()
+        finally:
+            blas.release_single_thread()
 
     def __enter__(self) -> "MultiprocDtmRunner":
         return self

@@ -387,3 +387,36 @@ class TestSpreadSources:
         res.source_fractions = {}  # simulate a pre-recording SplitResult
         with pytest.raises(ValidationError):
             res.spread_sources(g.sources)
+
+
+class TestWithSources:
+    def _split(self):
+        g = grid2d_random(6, seed=3)
+        p = grid_block_partition(6, 6, 2, 2)
+        return split_graph(g, p, strategy=DominancePreservingSplit())
+
+    def test_resourced_split_shares_topology(self):
+        res = self._split()
+        b0 = res.graph.sources.copy()
+        b2 = np.linspace(-1.0, 1.0, res.graph.n)
+        res2 = res.with_sources(b2, res.spread_sources(b2))
+        assert np.array_equal(res2.graph.sources, b2)
+        assert res2.graph.edge_u is res.graph.edge_u
+        assert res2.graph.edge_weights is res.graph.edge_weights
+        assert np.array_equal(res.graph.sources, b0)  # original intact
+        for sub, rhs in zip(res2.subdomains, res.spread_sources(b2)):
+            assert np.array_equal(sub.rhs, rhs)
+
+    @pytest.mark.parametrize("bad", ["short", "nan", "inf"])
+    def test_malformed_rhs_still_raises(self, bad):
+        """The edge checks are skipped on re-sourcing; *b* is not."""
+        res = self._split()
+        n = res.graph.n
+        b = {"short": np.ones(n - 1),
+             "nan": np.where(np.arange(n) == 3, np.nan, 1.0),
+             "inf": np.where(np.arange(n) == 3, np.inf, 1.0)}[bad]
+        rhs_list = res.spread_sources(np.ones(n))
+        with pytest.raises(ValidationError):
+            res.with_sources(b, rhs_list)
+        with pytest.raises(ValidationError):
+            res.graph.with_sources(b)
